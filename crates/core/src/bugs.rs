@@ -212,6 +212,10 @@ impl BugLog {
 
 /// Delta-debugging style minimizer: repeatedly try to drop joins, predicates
 /// and projections while the mismatch against the ground truth persists.
+///
+/// Precondition: `stmt` already fails under `hints` on `conn` — the caller
+/// has just seen its result differ from the ground truth. The input itself
+/// is never re-checked; only strictly smaller candidates are.
 pub fn minimize_query(
     stmt: &SelectStmt,
     hints: &HintSet,
@@ -235,6 +239,10 @@ pub fn minimize_query(
 /// bug verdict for the candidate on `conn`. Works with *any*
 /// [`Oracle`] implementation — ground truth, cross-engine differential,
 /// or a baseline — instead of being hardwired to one verdict procedure.
+///
+/// Precondition: `oracle` has just returned a bug verdict for `stmt` on
+/// `conn`. The input itself is never re-checked; only strictly smaller
+/// candidates are.
 pub fn minimize_with_oracle(
     stmt: &SelectStmt,
     oracle: &mut dyn Oracle,
@@ -246,16 +254,15 @@ pub fn minimize_with_oracle(
     minimize_by(stmt, conn, &mut still_fails)
 }
 
-/// The shared reduction loop behind both minimizers.
+/// The shared reduction loop behind both minimizers. `stmt` is taken to fail
+/// already (see the callers' precondition), so only reduced candidates go
+/// through `still_fails`.
 fn minimize_by(
     stmt: &SelectStmt,
     conn: &mut dyn DbmsConnector,
     still_fails: &mut dyn FnMut(&SelectStmt, &mut dyn DbmsConnector) -> bool,
 ) -> SelectStmt {
     let mut current = stmt.clone();
-    if !still_fails(&current, conn) {
-        return current;
-    }
     let mut progress = true;
     while progress {
         progress = false;

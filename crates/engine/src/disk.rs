@@ -419,9 +419,7 @@ impl DiskDatabase {
                 .catalog
                 .table(&name)
                 .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-            let mut t = src.clone();
-            t.rows = rows.into_iter().map(Row::new).collect();
-            catalog.add_table(t);
+            catalog.add_table(src.with_rows(rows.into_iter().map(Row::new).collect()));
         }
         Ok(catalog)
     }
@@ -548,6 +546,39 @@ mod tests {
 
     fn disk(id: ProfileId) -> DiskDatabase {
         DiskDatabase::new(catalog(), DbmsProfile::disk_pristine(id)).unwrap()
+    }
+
+    #[test]
+    fn scanned_tables_keep_the_loaded_schema_and_rows() {
+        let mut cat = catalog();
+        let t1 = cat.table_mut("t1").unwrap();
+        t1.keys.push(vec!["col1".into()]);
+        t1.foreign_keys.push(tqs_storage::ForeignKey {
+            columns: vec!["col1".into()],
+            ref_table: "t2".into(),
+            ref_columns: vec!["id".into()],
+        });
+        let mut d = DiskDatabase::new(
+            cat.clone(),
+            DbmsProfile::disk_pristine(ProfileId::MysqlLike),
+        )
+        .unwrap();
+        let mut ctx = ExecContext::new(FaultSet::none());
+        let scanned = d
+            .scan_catalog(&TriggerContext::default(), &mut ctx)
+            .unwrap();
+        assert_eq!(scanned.table_names(), cat.table_names());
+        for loaded in cat.iter() {
+            let t = scanned.table(&loaded.name).unwrap();
+            assert_eq!(t.name, loaded.name);
+            assert_eq!(t.columns, loaded.columns);
+            assert_eq!(t.primary_key, loaded.primary_key);
+            assert_eq!(t.keys, loaded.keys);
+            assert_eq!(t.foreign_keys, loaded.foreign_keys);
+            assert_eq!(t.rows, loaded.rows);
+        }
+        assert_eq!(scanned.table("t1").unwrap().foreign_keys.len(), 1);
+        assert!(ctx.fired.is_empty());
     }
 
     #[test]

@@ -431,8 +431,10 @@ impl Database {
         Some(result)
     }
 
-    /// Does a WHERE conjunct or a later inner-join condition reject NULLs of
-    /// the right side of join `idx`?
+    /// Does a WHERE conjunct or a conjunct of a later inner-join condition
+    /// reject NULLs of the right side of join `idx`? A conjunct rejects them
+    /// when it is a comparison other than `<=>` that mentions the binding;
+    /// `IS NULL` and other NULL-accepting conjuncts do not.
     fn null_rejecting_reference(&self, stmt: &SelectStmt, idx: usize) -> bool {
         let binding = stmt.from.joins[idx].table.binding().to_lowercase();
         let mentions = |e: &Expr| -> bool {
@@ -443,29 +445,24 @@ impl Database {
                     .unwrap_or(false)
             })
         };
-        // later join conditions
-        for j in stmt.from.joins.iter().skip(idx + 1) {
-            if matches!(j.join_type, JoinType::Inner | JoinType::Semi) {
-                if let Some(on) = &j.on {
-                    if mentions(on) {
-                        return true;
-                    }
-                }
-            }
-        }
-        // null-rejecting WHERE conjuncts (comparisons, not IS NULL)
-        if let Some(w) = &stmt.where_clause {
+        let rejects = |e: &Expr| -> bool {
             let mut conjuncts = Vec::new();
-            flatten_and(w, &mut conjuncts);
-            for c in conjuncts {
-                if let Expr::Binary { op, .. } = c {
-                    if op.is_comparison() && *op != BinOp::NullSafeEq && mentions(c) {
-                        return true;
-                    }
+            flatten_and(e, &mut conjuncts);
+            conjuncts.into_iter().any(|c| match c {
+                Expr::Binary { op, .. } => {
+                    op.is_comparison() && *op != BinOp::NullSafeEq && mentions(c)
                 }
-            }
-        }
-        false
+                _ => false,
+            })
+        };
+        let later_on = stmt
+            .from
+            .joins
+            .iter()
+            .skip(idx + 1)
+            .filter(|j| matches!(j.join_type, JoinType::Inner | JoinType::Semi))
+            .filter_map(|j| j.on.as_ref());
+        later_on.chain(stmt.where_clause.as_ref()).any(rejects)
     }
 
     fn right_has_key(&self, join: &tqs_sql::ast::Join) -> bool {
@@ -1231,6 +1228,19 @@ mod tests {
         let stmt =
             parse_stmt("SELECT t1.id FROM t1 LEFT OUTER JOIN t2 ON t1.col1 = t2.id").unwrap();
         assert!(!d.plan(&stmt).unwrap().joins[0].simplified_from_outer);
+        // a later inner join's ON rejects NULLs through a comparison
+        // conjunct, never through IS NULL
+        let simplified = |on: &str| {
+            let sql = format!(
+                "SELECT t1.id FROM t1 LEFT OUTER JOIN t2 ON t1.col1 = t2.id \
+                 INNER JOIN t1 AS t3 ON t1.id = t3.id AND {on}"
+            );
+            let plan = d.plan(&parse_stmt(&sql).unwrap()).unwrap();
+            plan.joins.iter().any(|j| j.simplified_from_outer)
+        };
+        assert!(simplified("t2.col1 = t3.col1"));
+        assert!(!simplified("t2.id IS NULL"));
+        assert!(!simplified("t2.id <=> t3.col1"));
         // simplification does not change results on a pristine build
         let simplified = parse_stmt(
             "SELECT t1.id FROM t1 LEFT OUTER JOIN t2 ON t1.col1 = t2.id WHERE t2.col1 = 'a'",

@@ -49,6 +49,15 @@ impl From<Vec<Value>> for Row {
     }
 }
 
+/// Cell-wise [`result_value_eq`] equality of two result rows.
+fn rows_eq(a: &Row, b: &Row) -> bool {
+    a.len() == b.len()
+        && a.values
+            .iter()
+            .zip(&b.values)
+            .all(|(x, y)| result_value_eq(x, y))
+}
+
 /// A bag (multiset) of result rows with named columns.
 ///
 /// Query results in SQL are bags, not sets, and the order is irrelevant
@@ -77,21 +86,27 @@ impl ResultSet {
     }
 
     /// Multiset equality, ignoring row order and column naming.
+    ///
+    /// Results that arrive in the same order are settled by one positional
+    /// pass. Otherwise each row takes the first unused equal row of `other`;
+    /// when every row equals its positional partner that greedy pairing is
+    /// exactly the positional one, so the fast path never changes the answer.
     pub fn same_bag(&self, other: &ResultSet) -> bool {
         if self.rows.len() != other.rows.len() {
             return false;
         }
+        if self
+            .rows
+            .iter()
+            .zip(&other.rows)
+            .all(|(r, o)| rows_eq(r, o))
+        {
+            return true;
+        }
         let mut used = vec![false; other.rows.len()];
         'outer: for r in &self.rows {
             for (i, o) in other.rows.iter().enumerate() {
-                if used[i] || r.len() != o.len() {
-                    continue;
-                }
-                if r.values
-                    .iter()
-                    .zip(&o.values)
-                    .all(|(a, b)| result_value_eq(a, b))
-                {
+                if !used[i] && rows_eq(r, o) {
                     used[i] = true;
                     continue 'outer;
                 }
@@ -132,14 +147,7 @@ impl ResultSet {
         let mut used = vec![false; other.rows.len()];
         'outer: for r in &self.rows {
             for (i, o) in other.rows.iter().enumerate() {
-                if used[i] || r.len() != o.len() {
-                    continue;
-                }
-                if r.values
-                    .iter()
-                    .zip(&o.values)
-                    .all(|(a, b)| result_value_eq(a, b))
-                {
+                if !used[i] && rows_eq(r, o) {
                     used[i] = true;
                     continue 'outer;
                 }

@@ -47,6 +47,19 @@ impl Table {
         self
     }
 
+    /// A table with this table's schema metadata (name, columns and keys)
+    /// and the given rows. Copies the metadata only, never `self.rows`.
+    pub fn with_rows(&self, rows: Vec<Row>) -> Table {
+        Table {
+            name: self.name.clone(),
+            columns: self.columns.clone(),
+            primary_key: self.primary_key.clone(),
+            keys: self.keys.clone(),
+            foreign_keys: self.foreign_keys.clone(),
+            rows,
+        }
+    }
+
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns
             .iter()

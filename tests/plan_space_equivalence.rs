@@ -13,6 +13,7 @@ use tqs_campaign::EngineKind;
 use tqs_core::backend::DbmsConnector;
 use tqs_core::dsg::WideSource;
 use tqs_core::dsg::{DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer};
+use tqs_core::oracle::{Oracle, OracleVerdict, PlanSpaceOracle};
 use tqs_engine::{FaultSet, ProfileId};
 use tqs_optimizer::PlanSpace;
 use tqs_schema::NoiseConfig;
@@ -83,6 +84,49 @@ proptest! {
                     engine.label(),
                     tqs_sql::render::render_stmt(&space.stmt),
                 );
+            }
+        }
+    }
+}
+
+/// Regression: the optimizer's rewrite moves `T4.userId IS NULL` into the
+/// later INNER join's ON clause, and the engines' outer-join simplification
+/// once read any mention of `T4` there as null-rejecting, turning the LEFT
+/// OUTER join into an inner one and emptying those plans' results.
+#[test]
+fn is_null_moved_into_a_later_inner_join_keeps_the_left_join() {
+    let stmt = tqs_sql::parser::parse_stmt(
+        "SELECT T2.goodsId, T1.orderDate FROM T1 \
+         LEFT OUTER JOIN T4 ON T1.userId = T4.userId \
+         INNER JOIN T2 ON T1.goodsId = T2.goodsId \
+         WHERE T4.userId IS NULL",
+    )
+    .unwrap();
+    for noise_seed in [1, 3, 7, 9] {
+        let dsg = Arc::new(DsgDatabase::build(&DsgConfig {
+            source: WideSource::Shopping(ShoppingConfig {
+                n_rows: 90,
+                ..Default::default()
+            }),
+            fd: Default::default(),
+            noise: Some(NoiseConfig {
+                epsilon: 0.04,
+                seed: noise_seed,
+                max_injections: 10,
+            }),
+        }));
+        for engine in EngineKind::ALL {
+            let mut conn = engine.connect_pristine(ProfileId::MysqlLike, &dsg);
+            let mut oracle = PlanSpaceOracle::shared(Arc::clone(&dsg));
+            match oracle.check(&stmt, &mut conn) {
+                OracleVerdict::Pass => {}
+                OracleVerdict::Bugs(reports) => panic!(
+                    "noise seed {noise_seed}, pristine {}: {} plans diverged, first: {}",
+                    engine.label(),
+                    reports.len(),
+                    reports[0].transformed_sql
+                ),
+                OracleVerdict::Skip => panic!("noise seed {noise_seed}: statement skipped"),
             }
         }
     }
