@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::json::Json;
-use tqs_pager::envfault::{EnvFaultOp, EnvFaultPolicy};
+use tqs_pager::envfault::{splitmix64, EnvFaultOp, EnvFaultPolicy};
 
 /// Operational knobs for the supervised runtime. These steer *how* a
 /// campaign executes, not *what* it hunts, so they are deliberately not part
@@ -117,13 +117,6 @@ impl SupervisorConfig {
     fn chaos_hash(&self, cell_id: usize) -> u64 {
         splitmix64(self.chaos_seed ^ (cell_id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// How a journal append is performed: through which fault policy, and

@@ -8,28 +8,31 @@
 //! are evaluated as tight per-column loops over a selection bitmap instead of
 //! building a row scope per tuple.
 //!
-//! Both engines share the optimizer ([`Database::plan`]), the subquery
-//! machinery and the projection/aggregation tail, so on fault-free builds
-//! they are answer-identical by construction of the shared semantics — a
-//! property the workspace pins with a proptest. What differs is the physical
-//! execution — and therefore the *fault complement*: the columnar build
-//! carries [`FaultKind::COLUMNAR`] (batch-tail loss, NULL-mask misalignment,
-//! dictionary truncation, selection-bitmap corruption), which cannot occur in
-//! the row engine, and none of the Table 4 row faults. That disjointness is
-//! what makes cross-engine differential testing (`DifferentialOracle` in
-//! tqs-core) a meaningful oracle.
+//! Both engines share the optimizer ([`Database::plan`]), the fault-free
+//! join-key logic (equi keys, residual scope, canonical key encoding), the
+//! subquery machinery and the projection/aggregation tail, so on fault-free
+//! builds they are answer-identical by construction of the shared semantics
+//! — a property the workspace pins with a proptest. What differs is the
+//! relation layout and the physical execution — and therefore the *fault
+//! complement*: the columnar build carries [`FaultKind::COLUMNAR`]
+//! (batch-tail loss, NULL-mask misalignment, dictionary truncation,
+//! selection-bitmap corruption), which cannot occur in the row engine, and
+//! none of the Table 4 row faults. That disjointness is what makes
+//! cross-engine differential testing (`DifferentialOracle` in tqs-core) a
+//! meaningful oracle.
 
 use crate::engine::{distinct, Database, EngineError, EngineSubqueries, ExecOutcome};
-use crate::exec::{ColumnPruner, ExecContext, Rel, ScopeLayout};
+use crate::exec::{ColumnPruner, ExecContext, Rel};
 use crate::faults::{FaultKind, TriggerContext};
+use crate::joinkeys::{canonical_key_into, col_index, residual_ok, Cells, EquiKeys, ScopeLayout};
 use crate::plan::PhysicalJoin;
 use crate::profiles::DbmsProfile;
 use std::collections::HashMap;
 use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType, SelectStmt};
-use tqs_sql::eval::{eval_predicate, ColumnResolver};
+use tqs_sql::eval::{compare, eval_predicate, ColumnResolver};
 use tqs_sql::hints::HintSet;
 use tqs_sql::parser::parse_stmt;
-use tqs_sql::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
+use tqs_sql::value::{KeyBuf, Value};
 use tqs_storage::{Catalog, Table};
 
 /// Default number of rows per probe/filter batch.
@@ -102,13 +105,6 @@ impl ColumnarRel {
         self.len() == 0
     }
 
-    pub fn col_index(&self, binding: Option<&str>, col: &str) -> Option<usize> {
-        self.cols.iter().position(|(b, c)| {
-            c.eq_ignore_ascii_case(col)
-                && binding.map(|q| q.eq_ignore_ascii_case(b)).unwrap_or(true)
-        })
-    }
-
     /// Allocation-free resolver for row `i`, consumable by the reference
     /// evaluator — gathers nothing; the one matched value is cloned on
     /// resolution.
@@ -140,6 +136,13 @@ impl ColumnarRel {
             cols: self.cols.clone(),
             rows,
         }
+    }
+}
+
+impl Cells for ColumnarRel {
+    #[inline]
+    fn cell(&self, row: usize, col: usize) -> &Value {
+        &self.columns[col][row]
     }
 }
 
@@ -370,18 +373,20 @@ impl ColumnarDatabase {
     ) -> Result<ColumnarRel, EngineError> {
         let n = rel.len();
         let mut sel = vec![true; n];
-        let mut conjuncts = Vec::new();
-        flatten_and(pred, &mut conjuncts);
         let filter_trigger = TriggerContext::default();
         let null_as_true = ctx
             .faults
             .active(FaultKind::ColumnarFilterNullAsTrue, &filter_trigger);
-        for c in conjuncts {
+        for c in pred.conjuncts() {
             match vectorizable(c, &rel) {
                 Some((ci, op, lit, reversed)) => {
                     let col = &rel.columns[ci];
                     for (i, v) in col.iter().enumerate() {
-                        let truth = compare_value(v, op, lit, reversed);
+                        let truth = if reversed {
+                            compare(op, lit, v)
+                        } else {
+                            compare(op, v, lit)
+                        };
                         self.apply_truth(truth, i, &mut sel, null_as_true, ctx);
                     }
                 }
@@ -439,95 +444,13 @@ fn vectorizable<'a>(e: &'a Expr, rel: &ColumnarRel) -> Option<(usize, BinOp, &'a
         return None;
     }
     match (left.as_ref(), right.as_ref()) {
-        (Expr::Column(c), Expr::Literal(v)) => rel
-            .col_index(c.table.as_deref(), &c.column)
-            .map(|ci| (ci, *op, v, false)),
-        (Expr::Literal(v), Expr::Column(c)) => rel
-            .col_index(c.table.as_deref(), &c.column)
-            .map(|ci| (ci, *op, v, true)),
-        _ => None,
-    }
-}
-
-/// Three-valued comparison matching the reference evaluator's `tv_compare`.
-fn compare_value(v: &Value, op: BinOp, lit: &Value, reversed: bool) -> Option<bool> {
-    let (l, r) = if reversed { (lit, v) } else { (v, lit) };
-    if op == BinOp::NullSafeEq {
-        return Some(null_safe_eq(l, r));
-    }
-    if l.is_null() || r.is_null() {
-        return None;
-    }
-    match sql_compare(l, r) {
-        SqlCmp::Ordering(o) => Some(match op {
-            BinOp::Eq => o == std::cmp::Ordering::Equal,
-            BinOp::Ne => o != std::cmp::Ordering::Equal,
-            BinOp::Lt => o == std::cmp::Ordering::Less,
-            BinOp::Le => o != std::cmp::Ordering::Greater,
-            BinOp::Gt => o == std::cmp::Ordering::Greater,
-            BinOp::Ge => o != std::cmp::Ordering::Less,
-            _ => unreachable!("non-comparison op in vectorized kernel"),
-        }),
-        SqlCmp::Unknown => None,
-    }
-}
-
-/// Equi-key extraction over columnar relations (mirrors the row executor's).
-struct EquiKeys {
-    left_idx: Vec<usize>,
-    right_idx: Vec<usize>,
-    residual: Vec<Expr>,
-}
-
-fn extract_equi_keys(left: &ColumnarRel, right: &ColumnarRel, on: Option<&Expr>) -> EquiKeys {
-    let mut keys = EquiKeys {
-        left_idx: Vec::new(),
-        right_idx: Vec::new(),
-        residual: Vec::new(),
-    };
-    let Some(on) = on else { return keys };
-    let mut conjuncts = Vec::new();
-    flatten_and(on, &mut conjuncts);
-    for c in conjuncts {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left: a,
-            right: b,
-        } = c
-        {
-            if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                let la = left.col_index(ca.table.as_deref(), &ca.column);
-                let rb = right.col_index(cb.table.as_deref(), &cb.column);
-                if let (Some(li), Some(ri)) = (la, rb) {
-                    keys.left_idx.push(li);
-                    keys.right_idx.push(ri);
-                    continue;
-                }
-                let lb = left.col_index(cb.table.as_deref(), &cb.column);
-                let ra = right.col_index(ca.table.as_deref(), &ca.column);
-                if let (Some(li), Some(ri)) = (lb, ra) {
-                    keys.left_idx.push(li);
-                    keys.right_idx.push(ri);
-                    continue;
-                }
-            }
+        (Expr::Column(c), Expr::Literal(v)) => {
+            col_index(&rel.cols, c.table.as_deref(), &c.column).map(|ci| (ci, *op, v, false))
         }
-        keys.residual.push(c.clone());
-    }
-    keys
-}
-
-fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e);
+        (Expr::Literal(v), Expr::Column(c)) => {
+            col_index(&rel.cols, c.table.as_deref(), &c.column).map(|ci| (ci, *op, v, true))
+        }
+        _ => None,
     }
 }
 
@@ -539,97 +462,51 @@ pub struct ColRow<'a> {
 
 impl ColumnResolver for ColRow<'_> {
     fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        self.rel
-            .col_index(col.table.as_deref(), &col.column)
+        col_index(&self.rel.cols, col.table.as_deref(), &col.column)
             .map(|ci| self.rel.columns[ci][self.i].clone())
     }
 }
 
 /// Encode the join key of row `i` against `key_idx` column vectors into
 /// `buf` (cleared first). Returns `false` for a NULL key (never matches).
-/// The dictionary-truncation fault clips long varchar keys to their first 8
-/// bytes — raw, without the canonical case folding, exactly like the old
-/// `"S:{clip}|"` text segment.
+/// Without the dictionary-truncation fault this is the shared canonical
+/// encoding; the fault clips long varchar keys to their first 8 bytes — raw,
+/// without the canonical case folding, exactly like the old `"S:{clip}|"`
+/// text segment.
 fn encode_key_into(
-    columns: &[Vec<Value>],
+    rel: &ColumnarRel,
     key_idx: &[usize],
     i: usize,
     truncate: bool,
     ctx: &mut ExecContext,
     buf: &mut KeyBuf,
 ) -> bool {
+    if !truncate {
+        return canonical_key_into(rel, i, key_idx, buf);
+    }
     buf.clear();
     for &ci in key_idx {
-        let v = &columns[ci][i];
+        let v = &rel.columns[ci][i];
         if v.is_null() {
             return false;
         }
-        if truncate {
-            if let Some(s) = v.as_str() {
-                if s.len() > 8 {
-                    // Clip at the last char boundary at or before byte 8 —
-                    // the fault corrupts answers, it must not panic on
-                    // multi-byte UTF-8 data.
-                    let mut cut = 8;
-                    while !s.is_char_boundary(cut) {
-                        cut -= 1;
-                    }
-                    ctx.fire(FaultKind::ColumnarDictTruncation);
-                    buf.push_str_raw(&s[..cut]);
-                    continue;
+        if let Some(s) = v.as_str() {
+            if s.len() > 8 {
+                // Clip at the last char boundary at or before byte 8 — the
+                // fault corrupts answers, it must not panic on multi-byte
+                // UTF-8 data.
+                let mut cut = 8;
+                while !s.is_char_boundary(cut) {
+                    cut -= 1;
                 }
+                ctx.fire(FaultKind::ColumnarDictTruncation);
+                buf.push_str_raw(&s[..cut]);
+                continue;
             }
         }
         buf.push_canonical(v);
     }
     true
-}
-
-/// Borrow-based resolver over one candidate row pair of columnar inputs,
-/// driven by a compiled [`ScopeLayout`].
-struct ColScopedPair<'a> {
-    layout: &'a ScopeLayout,
-    left: &'a ColumnarRel,
-    right: &'a ColumnarRel,
-    li: usize,
-    ri: usize,
-}
-
-impl ColumnResolver for ColScopedPair<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        self.layout.lookup(col).map(|(right, offset)| {
-            if right {
-                self.right.columns[offset][self.ri].clone()
-            } else {
-                self.left.columns[offset][self.li].clone()
-            }
-        })
-    }
-}
-
-fn residual_ok(
-    residual: &[Expr],
-    layout: &ScopeLayout,
-    left: &ColumnarRel,
-    right: &ColumnarRel,
-    li: usize,
-    ri: usize,
-) -> bool {
-    if residual.is_empty() {
-        return true;
-    }
-    let resolver = ColScopedPair {
-        layout,
-        left,
-        right,
-        li,
-        ri,
-    };
-    residual.iter().all(|p| {
-        eval_predicate(p, &resolver, &tqs_sql::eval::NoSubqueries)
-            .map(|r| r == Some(true))
-            .unwrap_or(false)
-    })
 }
 
 /// Execute one physical join step over columnar inputs: build a hash table
@@ -644,10 +521,8 @@ pub fn columnar_join(
     batch_size: usize,
 ) -> Result<ColumnarRel, EngineError> {
     let t = ctx.trigger_ctx(join);
-    let keys = extract_equi_keys(left, right, on);
-    let layout = ScopeLayout::compile(&keys.residual, &|b, c| left.col_index(b, c), &|b, c| {
-        right.col_index(b, c)
-    });
+    let keys = EquiKeys::extract(&left.cols, &right.cols, on);
+    let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
     let n_left = left.len();
 
     // Batch-tail loss: hashed probes past the last complete batch are never
@@ -669,7 +544,7 @@ pub fn columnar_join(
         // No equi key: batched nested loop (correct for cross/theta joins).
         for (li, row_matches) in matches.iter_mut().enumerate().take(live_until) {
             for ri in 0..right.len() {
-                if residual_ok(&keys.residual, &layout, left, right, li, ri) {
+                if residual_ok(&keys.residual, &layout, left, li, right, ri) {
                     row_matches.push(ri);
                 }
             }
@@ -678,14 +553,7 @@ pub fn columnar_join(
         let mut table: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
         let mut scratch = KeyBuf::new();
         for ri in 0..right.len() {
-            if encode_key_into(
-                &right.columns,
-                &keys.right_idx,
-                ri,
-                truncate,
-                ctx,
-                &mut scratch,
-            ) {
+            if encode_key_into(right, &keys.right_idx, ri, truncate, ctx, &mut scratch) {
                 match table.get_mut(&scratch) {
                     Some(bucket) => bucket.push(ri),
                     None => {
@@ -699,18 +567,11 @@ pub fn columnar_join(
             let end = (start + batch_size).min(live_until);
             for (li, row_matches) in matches[start..end].iter_mut().enumerate() {
                 let li = start + li;
-                if !encode_key_into(
-                    &left.columns,
-                    &keys.left_idx,
-                    li,
-                    truncate,
-                    ctx,
-                    &mut scratch,
-                ) {
+                if !encode_key_into(left, &keys.left_idx, li, truncate, ctx, &mut scratch) {
                     continue;
                 }
                 let mut ms = table.get(&scratch).cloned().unwrap_or_default();
-                ms.retain(|&ri| residual_ok(&keys.residual, &layout, left, right, li, ri));
+                ms.retain(|&ri| residual_ok(&keys.residual, &layout, left, li, right, ri));
                 *row_matches = ms;
             }
             start = end;
@@ -853,6 +714,11 @@ mod tests {
             "SELECT t1.id FROM t1 WHERE t1.col1 IN (SELECT t2.id FROM t2)",
             "SELECT t2.col1, COUNT(*) AS cnt FROM t1 JOIN t2 ON t1.col1 = t2.id GROUP BY t2.col1",
             "SELECT DISTINCT t2.col1 FROM t2 JOIN t1 ON t2.id = t1.col1",
+            "SELECT t1.id, t2.col1 FROM t1 INNER JOIN t2 ON t2.id = t1.col1",
+            "SELECT t1.id, t2.col1 FROM t1 INNER JOIN t2 ON t1.col1 = t2.id AND t2.col1 <> 'b'",
+            "SELECT t1.id, t2.id FROM t1 INNER JOIN t2 ON t1.col1 < t2.id",
+            "SELECT t1.id, t2.col1 FROM t1 RIGHT OUTER JOIN t2 ON t1.col1 = t2.id AND t2.col1 <> 'b'",
+            "SELECT t1.id, t2.col1 FROM t1 FULL OUTER JOIN t2 ON t1.col1 = t2.id AND t1.id > 1",
         ];
         for id in ProfileId::ALL {
             let col = columnar(id);

@@ -4,6 +4,7 @@
 use crate::dml::{apply_mutation, DmlOp, DmlOutcome};
 use crate::exec::{execute_join, ColumnPruner, ExecContext, ExecError, Rel};
 use crate::faults::{FaultKind, FaultSet};
+use crate::joinkeys::col_index;
 use crate::plan::{JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
 use crate::profiles::DbmsProfile;
 use std::cell::RefCell;
@@ -446,9 +447,7 @@ impl Database {
             })
         };
         let rejects = |e: &Expr| -> bool {
-            let mut conjuncts = Vec::new();
-            flatten_and(e, &mut conjuncts);
-            conjuncts.into_iter().any(|c| match c {
+            e.conjuncts().into_iter().any(|c| match c {
                 Expr::Binary { op, .. } => {
                     op.is_comparison() && *op != BinOp::NullSafeEq && mentions(c)
                 }
@@ -685,7 +684,7 @@ impl Database {
         let first = &rel.rows[0];
         let mut fired = false;
         let rewritten = rewrite_null_safe_eq(pred, &mut |col: &tqs_sql::ast::ColumnRef| {
-            let idx = rel.col_index(col.table.as_deref(), &col.column)?;
+            let idx = col_index(&rel.cols, col.table.as_deref(), &col.column)?;
             if first[idx].is_null() {
                 fired = true;
                 Some(Value::Null)
@@ -851,20 +850,6 @@ fn eval_agg(func: AggFunc, group_size: usize, vals: &[Value]) -> Value {
             }
             best.unwrap_or(Value::Null)
         }
-    }
-}
-
-fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e);
     }
 }
 
@@ -1076,8 +1061,7 @@ impl ColumnResolver for TableRow<'_> {
 
 /// Split equality conjuncts out of a predicate; returns (remaining, dropped?).
 fn strip_equality_conjuncts(e: &Expr) -> (Option<Expr>, bool) {
-    let mut conjuncts = Vec::new();
-    flatten_and(e, &mut conjuncts);
+    let conjuncts = e.conjuncts();
     let kept: Vec<Expr> = conjuncts
         .iter()
         .filter(|c| !matches!(c, Expr::Binary { op: BinOp::Eq, .. }))

@@ -8,13 +8,14 @@
 //! cause.
 
 use crate::faults::{FaultKind, FaultSet, TriggerContext};
+use crate::joinkeys::{canonical_key_into, residual_ok, Cells, EquiKeys, ScopeLayout};
 use crate::plan::{JoinAlgo, PhysicalJoin};
 use std::collections::HashMap;
 use std::time::Instant;
-use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType};
-use tqs_sql::eval::{eval_predicate, ColumnResolver, NoSubqueries, SliceRow};
+use tqs_sql::ast::{BinOp, Expr, JoinType};
+use tqs_sql::eval::{compare, SliceRow};
 use tqs_sql::hints::SemiJoinStrategy;
-use tqs_sql::value::{sql_compare, KeyBuf, SqlCmp, Value};
+use tqs_sql::value::{KeyBuf, Value};
 use tqs_storage::Table;
 use tqs_telemetry::QueryProfile;
 
@@ -75,18 +76,18 @@ impl Rel {
         out
     }
 
-    pub fn col_index(&self, binding: Option<&str>, col: &str) -> Option<usize> {
-        self.cols.iter().position(|(b, c)| {
-            c.eq_ignore_ascii_case(col)
-                && binding.map(|q| q.eq_ignore_ascii_case(b)).unwrap_or(true)
-        })
-    }
-
     /// Allocation-free resolver for one row, consumable by the reference
     /// evaluator — borrows the relation's column metadata and the row slice
     /// instead of cloning both into an owned scope.
     pub fn resolver<'a>(&'a self, row: &'a [Value]) -> SliceRow<'a> {
         SliceRow::new(&self.cols, row)
+    }
+}
+
+impl Cells for Rel {
+    #[inline]
+    fn cell(&self, row: usize, col: usize) -> &Value {
+        &self.rows[row][col]
     }
 }
 
@@ -280,81 +281,12 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Equi-key extraction result: column indices on each side plus any residual
-/// predicates that must still be evaluated per candidate pair.
-struct EquiKeys {
-    left_idx: Vec<usize>,
-    right_idx: Vec<usize>,
-    residual: Vec<Expr>,
-}
-
-fn extract_equi_keys(left: &Rel, right: &Rel, on: Option<&Expr>) -> EquiKeys {
-    let mut keys = EquiKeys {
-        left_idx: Vec::new(),
-        right_idx: Vec::new(),
-        residual: Vec::new(),
-    };
-    let Some(on) = on else { return keys };
-    let mut conjuncts = Vec::new();
-    flatten_and(on, &mut conjuncts);
-    for c in conjuncts {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left: a,
-            right: b,
-        } = c
-        {
-            if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                let la = left.col_index(ca.table.as_deref(), &ca.column);
-                let rb = right.col_index(cb.table.as_deref(), &cb.column);
-                if let (Some(li), Some(ri)) = (la, rb) {
-                    keys.left_idx.push(li);
-                    keys.right_idx.push(ri);
-                    continue;
-                }
-                let lb = left.col_index(cb.table.as_deref(), &cb.column);
-                let ra = right.col_index(ca.table.as_deref(), &ca.column);
-                if let (Some(li), Some(ri)) = (lb, ra) {
-                    keys.left_idx.push(li);
-                    keys.right_idx.push(ri);
-                    continue;
-                }
-            }
-        }
-        keys.residual.push(c.clone());
-    }
-    keys
-}
-
-fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e);
-    }
-}
-
 /// Correct value-level key equality (used by the non-hashed algorithms).
 fn keys_equal_correct(lrow: &[Value], rrow: &[Value], keys: &EquiKeys) -> bool {
     keys.left_idx
         .iter()
         .zip(keys.right_idx.iter())
-        .all(|(&li, &ri)| {
-            let (x, y) = (&lrow[li], &rrow[ri]);
-            if x.is_null() || y.is_null() {
-                return false;
-            }
-            matches!(
-                sql_compare(x, y),
-                SqlCmp::Ordering(std::cmp::Ordering::Equal)
-            )
-        })
+        .all(|(&li, &ri)| compare(BinOp::Eq, &lrow[li], &rrow[ri]) == Some(true))
 }
 
 /// Encode one row's join key for the hash-based algorithms into `buf`
@@ -452,107 +384,6 @@ fn is_boundary_like(v: &Value) -> bool {
     }
 }
 
-/// Residual-predicate column references resolved to a side and a column
-/// offset once per join — the compiled scope that lets residual evaluation
-/// borrow the candidate row slices instead of cloning a full two-sided
-/// scope (binding + column name + value per column) for every candidate
-/// pair.
-pub(crate) struct ScopeLayout {
-    entries: Vec<ScopeEntry>,
-}
-
-struct ScopeEntry {
-    /// The reference text this entry compiles (qualifier + column).
-    table: Option<String>,
-    column: String,
-    /// Resolved target: right side? plus the column offset on that side.
-    right: bool,
-    offset: usize,
-}
-
-impl ScopeLayout {
-    /// Resolve every distinct column reference in `residual` against the
-    /// join inputs, left columns before right — the same first-match order
-    /// the old per-row scope scan used.
-    pub(crate) fn compile(
-        residual: &[Expr],
-        left_index: &dyn Fn(Option<&str>, &str) -> Option<usize>,
-        right_index: &dyn Fn(Option<&str>, &str) -> Option<usize>,
-    ) -> ScopeLayout {
-        let mut entries: Vec<ScopeEntry> = Vec::new();
-        for pred in residual {
-            for c in pred.column_refs() {
-                if entries.iter().any(|e| e.matches(c)) {
-                    continue;
-                }
-                let target = left_index(c.table.as_deref(), &c.column)
-                    .map(|o| (false, o))
-                    .or_else(|| right_index(c.table.as_deref(), &c.column).map(|o| (true, o)));
-                if let Some((right, offset)) = target {
-                    entries.push(ScopeEntry {
-                        table: c.table.clone(),
-                        column: c.column.clone(),
-                        right,
-                        offset,
-                    });
-                }
-            }
-        }
-        ScopeLayout { entries }
-    }
-
-    pub(crate) fn lookup(&self, col: &ColumnRef) -> Option<(bool, usize)> {
-        self.entries
-            .iter()
-            .find(|e| e.matches(col))
-            .map(|e| (e.right, e.offset))
-    }
-}
-
-impl ScopeEntry {
-    fn matches(&self, col: &ColumnRef) -> bool {
-        self.column.eq_ignore_ascii_case(&col.column)
-            && match (&self.table, &col.table) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
-                _ => false,
-            }
-    }
-}
-
-/// Borrow-based resolver over one candidate row pair, driven by a compiled
-/// [`ScopeLayout`].
-struct ScopedPair<'a> {
-    layout: &'a ScopeLayout,
-    lrow: &'a [Value],
-    rrow: &'a [Value],
-}
-
-impl ColumnResolver for ScopedPair<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        self.layout.lookup(col).map(|(right, offset)| {
-            if right {
-                self.rrow[offset].clone()
-            } else {
-                self.lrow[offset].clone()
-            }
-        })
-    }
-}
-
-/// Residual ON predicates evaluated on the combined row.
-fn residual_ok(residual: &[Expr], layout: &ScopeLayout, lrow: &[Value], rrow: &[Value]) -> bool {
-    if residual.is_empty() {
-        return true;
-    }
-    let resolver = ScopedPair { layout, lrow, rrow };
-    residual.iter().all(|p| {
-        eval_predicate(p, &resolver, &NoSubqueries)
-            .map(|r| r == Some(true))
-            .unwrap_or(false)
-    })
-}
-
 /// Execute one physical join step.
 pub fn execute_join(
     left: &Rel,
@@ -563,10 +394,8 @@ pub fn execute_join(
 ) -> Result<Rel, ExecError> {
     let op_t0 = ctx.op_start();
     let t = ctx.trigger_ctx(join);
-    let keys = extract_equi_keys(left, right, on);
-    let layout = ScopeLayout::compile(&keys.residual, &|b, c| left.col_index(b, c), &|b, c| {
-        right.col_index(b, c)
-    });
+    let keys = EquiKeys::extract(&left.cols, &right.cols, on);
+    let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
 
     // Compute the match matrix: for each left row, the list of matching right
     // row indices. Algorithms differ in how matches are found (and therefore
@@ -821,13 +650,9 @@ fn loop_matches_hashed(
 ) -> (Vec<Vec<usize>>, MatchSideEffects) {
     let mut table: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
     let mut scratch = KeyBuf::new();
-    for (ri, rrow) in right.rows.iter().enumerate() {
-        if keys.right_idx.iter().any(|&i| rrow[i].is_null()) {
+    for ri in 0..right.rows.len() {
+        if !canonical_key_into(right, ri, &keys.right_idx, &mut scratch) {
             continue;
-        }
-        scratch.clear();
-        for &i in &keys.right_idx {
-            scratch.push_canonical(&rrow[i]);
         }
         match table.get_mut(&scratch) {
             Some(bucket) => bucket.push(ri),
@@ -837,27 +662,23 @@ fn loop_matches_hashed(
         }
     }
     let mut out = vec![Vec::new(); left.rows.len()];
-    for (li, lrow) in left.rows.iter().enumerate() {
-        if keys.left_idx.iter().any(|&i| lrow[i].is_null()) {
+    for (li, ms) in out.iter_mut().enumerate() {
+        if !canonical_key_into(left, li, &keys.left_idx, &mut scratch) {
             // NULL keys never match; the simplified-join confusion fault
             // spuriously matches build row 0, exactly like the compare loop.
             if !right.rows.is_empty() && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t) {
                 ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-                if residual_ok(&keys.residual, layout, lrow, &right.rows[0]) {
-                    out[li].push(0);
+                if residual_ok(&keys.residual, layout, left, li, right, 0) {
+                    ms.push(0);
                 }
             }
             continue;
         }
-        scratch.clear();
-        for &i in &keys.left_idx {
-            scratch.push_canonical(&lrow[i]);
-        }
         if let Some(bucket) = table.get(&scratch) {
-            out[li] = bucket
+            *ms = bucket
                 .iter()
                 .copied()
-                .filter(|&ri| residual_ok(&keys.residual, layout, lrow, &right.rows[ri]))
+                .filter(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri))
                 .collect();
         }
     }
@@ -890,7 +711,7 @@ fn loop_matches(
                 ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
                 matched = true;
             }
-            if matched && residual_ok(&keys.residual, layout, lrow, rrow) {
+            if matched && residual_ok(&keys.residual, layout, left, li, right, ri) {
                 out[li].push(ri);
             }
         }
@@ -942,7 +763,7 @@ fn hashed_matches(
             ms = first_bucket.clone();
         }
         // residual predicates still apply
-        ms.retain(|&ri| residual_ok(&keys.residual, layout, lrow, &right.rows[ri]));
+        ms.retain(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri));
         out[li] = ms;
     }
     (out, MatchSideEffects::default())
@@ -989,12 +810,8 @@ fn merge_matches(
     let mut index: HashMap<KeyBuf, usize> = HashMap::new();
     let mut scratch = KeyBuf::new();
     for (ri, rrow) in right.rows.iter().enumerate() {
-        if keys.right_idx.iter().any(|&i| rrow[i].is_null()) {
+        if !canonical_key_into(right, ri, &keys.right_idx, &mut scratch) {
             continue;
-        }
-        scratch.clear();
-        for &i in &keys.right_idx {
-            scratch.push_canonical(&rrow[i]);
         }
         match index.get(&scratch) {
             Some(&gi) => runs[gi].rows.push(ri),
@@ -1048,23 +865,19 @@ fn merge_matches(
         ctx.fire(FaultKind::MergeJoinDropsLastRun);
     }
     let mut out = vec![Vec::new(); left.rows.len()];
-    for (li, lrow) in left.rows.iter().enumerate() {
-        if keys.left_idx.iter().any(|&i| lrow[i].is_null()) {
+    for (li, ms) in out.iter_mut().enumerate() {
+        if !canonical_key_into(left, li, &keys.left_idx, &mut scratch) {
             continue;
-        }
-        scratch.clear();
-        for &i in &keys.left_idx {
-            scratch.push_canonical(&lrow[i]);
         }
         if let Some(&gi) = index.get(&scratch) {
             if runs[gi].skipped {
                 continue;
             }
-            out[li] = runs[gi]
+            *ms = runs[gi]
                 .rows
                 .iter()
                 .copied()
-                .filter(|&ri| residual_ok(&keys.residual, layout, lrow, &right.rows[ri]))
+                .filter(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri))
                 .collect();
         }
     }
@@ -1372,7 +1185,7 @@ mod tests {
                 Expr::lit(Value::str("y")),
             ),
         );
-        let keys = extract_equi_keys(&left, &right, Some(&on));
+        let keys = EquiKeys::extract(&left.cols, &right.cols, Some(&on));
         assert_eq!(keys.left_idx, vec![0]);
         assert_eq!(keys.right_idx, vec![0]);
         assert_eq!(keys.residual.len(), 1);

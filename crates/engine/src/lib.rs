@@ -7,6 +7,8 @@
 //! * [`engine`] — the optimizer (hint- and optimizer_switch-steerable) and
 //!   the executor entry points.
 //! * [`exec`] — physical operators with fault interception points.
+//! * `joinkeys` — the fault-free join-key logic both executors share:
+//!   column lookup, equi-key extraction, residual scope, canonical keys.
 //! * [`columnar`] — the second engine: a columnar, batch-at-a-time executor
 //!   sharing the optimizer but carrying its own fault complement.
 //! * [`disk`] — the third engine: disk-backed execution over the `tqs-pager`
@@ -28,6 +30,7 @@ pub mod dml;
 pub mod engine;
 pub mod exec;
 pub mod faults;
+mod joinkeys;
 pub mod plan;
 pub mod profiles;
 

@@ -22,7 +22,7 @@
 use tqs_sql::ast::{BinOp, Expr, JoinType};
 use tqs_storage::Catalog;
 
-use crate::ir::{as_column_equality, qualifiers, split_conjuncts, LogicalPlan};
+use crate::ir::{as_column_equality, qualifiers, LogicalPlan};
 
 /// Row-count discount per single-binding predicate conjunct.
 const PRUNE_FACTOR: f64 = 0.5;
@@ -79,9 +79,9 @@ impl CostModel {
             .filter
             .iter()
             .chain(plan.joins.iter().filter_map(|j| j.on.as_ref()))
-            .flat_map(split_conjuncts);
+            .flat_map(Expr::conjuncts);
         for conjunct in conjuncts {
-            let Some(quals) = qualifiers(&conjunct) else {
+            let Some(quals) = qualifiers(conjunct) else {
                 continue;
             };
             let positions: Vec<usize> = quals.iter().filter_map(|q| position(q)).collect();
@@ -92,9 +92,9 @@ impl CostModel {
                 [p] => single_binding[*p] += 1,
                 [a, b] => {
                     let edge = (*a.min(b), *a.max(b));
-                    if as_column_equality(&conjunct).is_some() {
+                    if as_column_equality(conjunct).is_some() {
                         equi.push(edge);
-                    } else if let Expr::Binary { op, .. } = &conjunct {
+                    } else if let Expr::Binary { op, .. } = conjunct {
                         if op.is_comparison() && *op != BinOp::Eq {
                             nonequi.push(edge);
                         }

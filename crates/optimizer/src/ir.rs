@@ -95,27 +95,6 @@ impl LogicalPlan {
     }
 }
 
-/// Split an expression into its top-level AND conjuncts.
-pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    collect_conjuncts(expr, &mut out);
-    out
-}
-
-fn collect_conjuncts(expr: &Expr, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => {
-            collect_conjuncts(left, out);
-            collect_conjuncts(right, out);
-        }
-        other => out.push(other.clone()),
-    }
-}
-
 /// The distinct lowercase qualifiers of an expression's column references.
 /// `None` if any reference is unqualified — an unqualified column cannot be
 /// placed safely, so rewrites leave such conjuncts alone.
@@ -171,25 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn conjunct_split_is_top_level_only() {
-        let s = stmt();
-        let conjuncts = split_conjuncts(s.where_clause.as_ref().unwrap());
-        assert_eq!(conjuncts.len(), 2);
-        assert_eq!(qualifiers(&conjuncts[0]), Some(vec!["t1".to_string()]));
-        assert_eq!(
-            qualifiers(&conjuncts[1]),
-            Some(vec!["t2".to_string(), "t3".to_string()])
-        );
-    }
-
-    #[test]
     fn column_equality_recognizer() {
         let s = stmt();
         let on = s.from.joins[0].on.as_ref().unwrap();
         let (a, b) = as_column_equality(on).expect("t1.k = t2.k");
         assert_eq!(a.table.as_deref(), Some("t1"));
         assert_eq!(b.table.as_deref(), Some("t2"));
-        let not_eq = &split_conjuncts(s.where_clause.as_ref().unwrap())[0];
+        let not_eq = s.where_clause.as_ref().unwrap().conjuncts()[0];
         assert!(as_column_equality(not_eq).is_none());
     }
 }

@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 use tqs_engine::faults::{FaultKind, FaultSet};
 use tqs_sql::ast::{ColumnRef, Expr, JoinType};
 
-use crate::ir::{as_column_equality, qualifiers, split_conjuncts, LogicalPlan};
+use crate::ir::{as_column_equality, qualifiers, LogicalPlan};
 
 /// Backstop on the fixpoint loop. Each pass either changes the plan or ends
 /// the loop, and every change moves a conjunct out of WHERE or materializes
@@ -94,10 +94,10 @@ fn push_down_predicates(
 
     let mut kept: Vec<Expr> = Vec::new();
     let mut pushed: Vec<(usize, Expr)> = Vec::new();
-    for conjunct in split_conjuncts(&filter) {
-        match place_conjunct(&conjunct, plan, &bindings, faults, fired) {
-            Placement::Keep => kept.push(conjunct),
-            Placement::On(i) => pushed.push((i, conjunct)),
+    for conjunct in filter.conjuncts() {
+        match place_conjunct(conjunct, plan, &bindings, faults, fired) {
+            Placement::Keep => kept.push(conjunct.clone()),
+            Placement::On(i) => pushed.push((i, conjunct.clone())),
         }
     }
 
@@ -211,9 +211,9 @@ fn infer_join_conditions(plan: &mut LogicalPlan) -> bool {
         .iter()
         .filter_map(|j| j.on.as_ref())
         .chain(plan.filter.iter())
-        .flat_map(split_conjuncts);
+        .flat_map(Expr::conjuncts);
     for conjunct in spelled {
-        if let Some((a, b)) = as_column_equality(&conjunct) {
+        if let Some((a, b)) = as_column_equality(conjunct) {
             if let (Some(ka), Some(kb)) = (col_key(a, &bindings), col_key(b, &bindings)) {
                 present.insert(pair(ka, kb));
             }
@@ -227,8 +227,8 @@ fn infer_join_conditions(plan: &mut LogicalPlan) -> bool {
             continue;
         }
         let Some(on) = &join.on else { continue };
-        for conjunct in split_conjuncts(on) {
-            if let Some((a, b)) = as_column_equality(&conjunct) {
+        for conjunct in on.conjuncts() {
+            if let Some((a, b)) = as_column_equality(conjunct) {
                 if let (Some(ka), Some(kb)) = (col_key(a, &bindings), col_key(b, &bindings)) {
                     dsu.union(ka, kb);
                 }

@@ -135,7 +135,9 @@ impl EnvFaultPolicy {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The splitmix64 finalizer: a fast, well-mixed 64-bit hash of `x`. Every
+/// seeded chaos decision in the workspace draws from it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -185,6 +185,28 @@ impl Expr {
         Some(acc)
     }
 
+    /// The top-level AND conjuncts of this expression, left to right — the
+    /// inverse of [`Expr::conjunction`]. A non-AND expression is its own
+    /// single conjunct; ANDs nested under other operators are not split.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            match e {
+                Expr::Binary {
+                    op: BinOp::And,
+                    left,
+                    right,
+                } => {
+                    stack.push(right);
+                    stack.push(left);
+                }
+                other => out.push(other),
+            }
+        }
+        out
+    }
+
     /// All column references appearing in this expression (not descending
     /// into subqueries — those have their own scopes).
     pub fn column_refs(&self) -> Vec<&ColumnRef> {
@@ -726,6 +748,33 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(c.size(), 5);
+    }
+
+    #[test]
+    fn conjunct_split_is_top_level_only() {
+        let q = crate::parser::parse_stmt(
+            "SELECT t1.a FROM t1 JOIN t2 ON t1.k = t2.k \
+             WHERE t1.a > 3 AND (t2.b = 1 OR (t1.a < 9 AND t2.b = 2)) AND t1.c IS NULL",
+        )
+        .unwrap();
+        let w = q.where_clause.as_ref().unwrap();
+        let conjuncts = w.conjuncts();
+        assert_eq!(conjuncts.len(), 3);
+        let quals = |e: &Expr| -> Vec<String> {
+            e.column_refs()
+                .iter()
+                .map(|c| c.table.clone().unwrap())
+                .collect()
+        };
+        assert_eq!(quals(conjuncts[0]), vec!["t1"]);
+        assert_eq!(quals(conjuncts[1]), vec!["t2", "t1", "t2"]);
+        assert!(matches!(conjuncts[2], Expr::IsNull { .. }));
+        // a non-AND expression is its own single conjunct
+        let on = q.from.joins[0].on.as_ref().unwrap();
+        assert_eq!(on.conjuncts(), vec![on]);
+        // splitting inverts the conjunction builder
+        let parts: Vec<Expr> = conjuncts.into_iter().cloned().collect();
+        assert_eq!(Expr::conjunction(parts).unwrap().conjuncts().len(), 3);
     }
 
     #[test]

@@ -217,8 +217,8 @@ pub fn eval_expr(
             let v = eval_expr(expr, row, sub)?;
             let lo = eval_expr(low, row, sub)?;
             let hi = eval_expr(high, row, sub)?;
-            let ge = tv_compare(&v, &lo, |o| o != Ordering::Less);
-            let le = tv_compare(&v, &hi, |o| o != Ordering::Greater);
+            let ge = compare(BinOp::Ge, &v, &lo);
+            let le = compare(BinOp::Le, &v, &hi);
             let both = tv_and(ge, le);
             Ok(tv_to_value(if *negated { tv_not(both) } else { both }))
         }
@@ -267,15 +267,30 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
     match op {
         BinOp::And => tv_to_value(tv_and(l.truthiness(), r.truthiness())),
         BinOp::Or => tv_to_value(tv_or(l.truthiness(), r.truthiness())),
-        BinOp::NullSafeEq => Value::Bool(null_safe_eq(l, r)),
-        BinOp::Eq => tv_to_value(tv_compare(l, r, |o| o == Ordering::Equal)),
-        BinOp::Ne => tv_to_value(tv_compare(l, r, |o| o != Ordering::Equal)),
-        BinOp::Lt => tv_to_value(tv_compare(l, r, |o| o == Ordering::Less)),
-        BinOp::Le => tv_to_value(tv_compare(l, r, |o| o != Ordering::Greater)),
-        BinOp::Gt => tv_to_value(tv_compare(l, r, |o| o == Ordering::Greater)),
-        BinOp::Ge => tv_to_value(tv_compare(l, r, |o| o != Ordering::Less)),
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(op, l, r),
+        _ => tv_to_value(compare(op, l, r)),
     }
+}
+
+/// Three-valued comparison `l op r` for a comparison operator
+/// ([`BinOp::is_comparison`]): `None` is UNKNOWN, which any NULL operand
+/// yields except under the NULL-safe `<=>`.
+pub fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
+    if op == BinOp::NullSafeEq {
+        return Some(null_safe_eq(l, r));
+    }
+    let SqlCmp::Ordering(o) = sql_compare(l, r) else {
+        return None;
+    };
+    Some(match op {
+        BinOp::Eq => o == Ordering::Equal,
+        BinOp::Ne => o != Ordering::Equal,
+        BinOp::Lt => o == Ordering::Less,
+        BinOp::Le => o != Ordering::Greater,
+        BinOp::Gt => o == Ordering::Greater,
+        BinOp::Ge => o != Ordering::Less,
+        _ => unreachable!("{op:?} is not a comparison"),
+    })
 }
 
 fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
@@ -307,14 +322,6 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
             }
         }
         _ => unreachable!(),
-    }
-}
-
-/// Three-valued comparison helper.
-fn tv_compare(l: &Value, r: &Value, pred: impl Fn(Ordering) -> bool) -> Option<bool> {
-    match sql_compare(l, r) {
-        SqlCmp::Unknown => None,
-        SqlCmp::Ordering(o) => Some(pred(o)),
     }
 }
 
